@@ -39,16 +39,14 @@ public:
   Liveness(const Function &F, const TargetDesc &TD,
            const std::vector<unsigned> *RPO = nullptr);
 
-  const BitVector &liveIn(unsigned B) const { return LiveIn[B]; }
-  const BitVector &liveOut(unsigned B) const { return LiveOut[B]; }
-  const BitVector &useSet(unsigned B) const { return UseSets[B]; }
-  const BitVector &defSet(unsigned B) const { return DefSets[B]; }
+  BitSpan liveIn(unsigned B) const { return set(2 * B); }
+  BitSpan liveOut(unsigned B) const { return set(2 * B + 1); }
 
   /// True if \p V appears in any block's live-in or live-out set, i.e. its
   /// lifetime crosses a basic-block boundary. The paper excludes purely
   /// local temporaries from the dataflow universes of both allocators.
-  bool isCrossBlock(unsigned V) const { return CrossBlock.test(V); }
-  const BitVector &crossBlockSet() const { return CrossBlock; }
+  bool isCrossBlock(unsigned V) const { return crossBlockSet().test(V); }
+  BitSpan crossBlockSet() const { return {CrossBlock.data(), NumVRegs}; }
 
   unsigned numVRegs() const { return NumVRegs; }
 
@@ -57,10 +55,16 @@ public:
   unsigned numIterations() const { return Iterations; }
 
 private:
+  BitSpan set(unsigned Row) const {
+    return {Sets.data() + size_t(Row) * WordsPerSet, NumVRegs};
+  }
+
   unsigned NumVRegs;
+  unsigned WordsPerSet;
   unsigned Iterations = 0;
-  std::vector<BitVector> LiveIn, LiveOut, UseSets, DefSets;
-  BitVector CrossBlock;
+  /// Every block's live-in then live-out set, WordsPerSet words each.
+  std::vector<uint64_t> Sets;
+  std::vector<uint64_t> CrossBlock;
 };
 
 } // namespace lsra

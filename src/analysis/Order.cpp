@@ -29,19 +29,18 @@ unsigned Numbering::blockOfIndex(unsigned Idx) const {
 }
 
 std::vector<unsigned> lsra::reversePostOrder(const Function &F) {
-  std::vector<unsigned> PostOrder;
+  std::vector<unsigned> RPO; // post-order until reversed below
+  RPO.reserve(F.numBlocks());
   std::vector<uint8_t> State(F.numBlocks(), 0); // 0=new, 1=open, 2=done
   // Iterative DFS with an explicit stack of (block, next-successor-index).
   std::vector<std::pair<unsigned, unsigned>> Stack;
   Stack.push_back({0, 0});
   State[0] = 1;
-  std::vector<std::vector<unsigned>> Succs(F.numBlocks());
-  for (unsigned B = 0; B < F.numBlocks(); ++B)
-    Succs[B] = F.block(B).successors();
   while (!Stack.empty()) {
     auto &[B, NextIdx] = Stack.back();
-    if (NextIdx < Succs[B].size()) {
-      unsigned S = Succs[B][NextIdx++];
+    const Block &Blk = F.block(B);
+    if (NextIdx < Blk.numSuccessors()) {
+      unsigned S = Blk.successor(NextIdx++);
       if (State[S] == 0) {
         State[S] = 1;
         Stack.push_back({S, 0});
@@ -49,10 +48,10 @@ std::vector<unsigned> lsra::reversePostOrder(const Function &F) {
       continue;
     }
     State[B] = 2;
-    PostOrder.push_back(B);
+    RPO.push_back(B);
     Stack.pop_back();
   }
-  std::vector<unsigned> RPO(PostOrder.rbegin(), PostOrder.rend());
+  std::reverse(RPO.begin(), RPO.end());
   for (unsigned B = 0; B < F.numBlocks(); ++B)
     if (State[B] != 2)
       RPO.push_back(B); // unreachable; keep analyses total

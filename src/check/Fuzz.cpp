@@ -162,9 +162,7 @@ FuzzReport lsra::check::runDifferentialFuzz(const FuzzOptions &Opts,
   for (unsigned I = 0; I < Opts.Count; ++I) {
     uint64_t Seed = Opts.SeedStart + I;
     std::unique_ptr<Module> M = buildRandomProgram(Seed, Opts.Program);
-    std::ostringstream OS;
-    printModule(OS, *M);
-    std::string Text = OS.str();
+    std::string Text = toString(*M);
     ++Report.Programs;
 
     for (unsigned Regs : Opts.RegLimits) {

@@ -13,7 +13,6 @@
 #include "ir/Printer.h"
 
 #include <algorithm>
-#include <sstream>
 
 using namespace lsra;
 using namespace lsra::check;
@@ -28,11 +27,7 @@ struct Site {
 constexpr unsigned MaxOracleCalls = 2000;
 constexpr unsigned MaxRounds = 12;
 
-std::string printText(const Module &M) {
-  std::ostringstream OS;
-  printModule(OS, M);
-  return OS.str();
-}
+std::string printText(const Module &M) { return toString(M); }
 
 std::vector<Site> removableSites(const Module &M) {
   std::vector<Site> Sites;

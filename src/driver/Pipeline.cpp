@@ -22,7 +22,6 @@
 
 #include <condition_variable>
 #include <mutex>
-#include <sstream>
 
 using namespace lsra;
 
@@ -273,12 +272,10 @@ TextCompileResult lsra::compileTextModule(const std::string &IRText,
       return R;
     }
   }
-  std::ostringstream OS;
   {
     obs::RequestPhase RP(EO.ReqTrace, "emit");
-    printModule(OS, *P.M);
+    R.AllocatedText = toString(*P.M);
   }
-  R.AllocatedText = OS.str();
   R.Ok = true;
   if (EO.Cache) {
     auto Entry = std::make_shared<cache::CachedCompile>();

@@ -9,24 +9,9 @@
 using namespace lsra;
 
 std::vector<unsigned> Block::successors() const {
-  std::vector<unsigned> Succs;
-  if (Ids.empty())
-    return Succs;
-  const Instr &T = Pool->get(Ids.back());
-  switch (T.opcode()) {
-  case Opcode::Br:
-    Succs.push_back(T.op(0).labelBlock());
-    break;
-  case Opcode::CBr:
-    Succs.push_back(T.op(1).labelBlock());
-    if (T.op(2).labelBlock() != T.op(1).labelBlock())
-      Succs.push_back(T.op(2).labelBlock());
-    break;
-  case Opcode::Ret:
-    break;
-  default:
-    assert(false && "block does not end in a terminator");
-  }
+  std::vector<unsigned> Succs(numSuccessors());
+  for (unsigned I = 0; I < Succs.size(); ++I)
+    Succs[I] = successor(I);
   return Succs;
 }
 

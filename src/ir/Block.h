@@ -152,6 +152,29 @@ public:
   /// Successor block ids, in terminator operand order (empty for Ret).
   std::vector<unsigned> successors() const;
 
+  /// Number of distinct successors: 1 for Br, 1 or 2 for CBr (a CBr whose
+  /// labels agree has one), 0 for Ret.
+  unsigned numSuccessors() const {
+    if (Ids.empty())
+      return 0;
+    const Instr &T = Pool->get(Ids.back());
+    switch (T.opcode()) {
+    case Opcode::Br:
+      return 1;
+    case Opcode::CBr:
+      return T.op(2).labelBlock() != T.op(1).labelBlock() ? 2 : 1;
+    default:
+      assert(T.opcode() == Opcode::Ret && "block does not end in a terminator");
+      return 0;
+    }
+  }
+
+  /// Successor \p I < numSuccessors(), in terminator operand order.
+  unsigned successor(unsigned I) const {
+    const Instr &T = Pool->get(Ids.back());
+    return T.op(T.opcode() == Opcode::Br ? 0 : 1 + I).labelBlock();
+  }
+
   /// Replace every label operand referring to \p OldId with \p NewId.
   void replaceSuccessor(unsigned OldId, unsigned NewId);
 

@@ -8,11 +8,9 @@
 
 using namespace lsra;
 
-namespace {
-
 // Name, NumDefs, NumUses, FloatMask, IsTerminator.
 // Register defs occupy slots [0, NumDefs); uses [NumDefs, NumDefs+NumUses).
-constexpr OpcodeInfo Infos[NumOpcodes] = {
+const OpcodeInfo lsra::OpcodeInfos[NumOpcodes] = {
     /* Add    */ {"add", 1, 2, 0b000, false},
     /* Sub    */ {"sub", 1, 2, 0b000, false},
     /* Mul    */ {"mul", 1, 2, 0b000, false},
@@ -65,12 +63,6 @@ constexpr OpcodeInfo Infos[NumOpcodes] = {
     /* FEmit  */ {"femit", 0, 1, 0b001, false},
     /* Nop    */ {"nop", 0, 0, 0b000, false},
 };
-
-} // namespace
-
-const OpcodeInfo &lsra::opcodeInfo(Opcode Op) {
-  return Infos[static_cast<unsigned>(Op)];
-}
 
 bool lsra::isCommutative(Opcode Op) {
   switch (Op) {

@@ -107,8 +107,13 @@ struct OpcodeInfo {
   bool IsTerminator;
 };
 
-/// Metadata lookup for \p Op.
-const OpcodeInfo &opcodeInfo(Opcode Op);
+/// Per-opcode metadata, indexed by Opcode (defined in ir/Instr.cpp).
+extern const OpcodeInfo OpcodeInfos[NumOpcodes];
+
+/// Metadata lookup for \p Op. Inline: every pass asks it per operand.
+inline const OpcodeInfo &opcodeInfo(Opcode Op) {
+  return OpcodeInfos[static_cast<unsigned>(Op)];
+}
 
 inline const char *opcodeName(Opcode Op) { return opcodeInfo(Op).Name; }
 

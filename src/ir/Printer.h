@@ -5,8 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Human-readable dumps of operands, instructions, functions, and modules,
-/// used by the examples and by test failure diagnostics.
+/// Human-readable dumps of instructions, functions, and modules: the
+/// textual IR that ir/Parser.h reads back, used by the compile service, the
+/// examples and test failure diagnostics. Each form is built by appending
+/// to one std::string; the std::ostream overloads write that string.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,9 +22,6 @@
 
 namespace lsra {
 
-/// Print \p Op; \p M (optional) resolves function-reference names.
-void printOperand(std::ostream &OS, const Operand &Op, const Module *M = nullptr);
-
 /// Print one instruction (no trailing newline). Spill-category tags are
 /// shown as trailing comments so allocator output is self-describing.
 void printInstr(std::ostream &OS, const Instr &I, const Function &F,
@@ -34,6 +33,9 @@ void printFunction(std::ostream &OS, const Function &F,
 
 /// Print a whole module.
 void printModule(std::ostream &OS, const Module &M);
+
+/// The printed module as one string (what printModule writes).
+std::string toString(const Module &M);
 
 /// Convenience: function dump as a string (tests use this).
 std::string toString(const Function &F, const Module *M = nullptr);

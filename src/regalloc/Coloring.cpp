@@ -238,7 +238,7 @@ void ColoringProblem::build() {
   BitVector Live(NumNodes);
   for (unsigned B = 0; B < F.numBlocks(); ++B) {
     Live.clear();
-    const BitVector &Out = LV.liveOut(B);
+    BitSpan Out = LV.liveOut(B);
     for (unsigned V = 0; V < LV.numVRegs(); ++V)
       if (Out.test(V) && VRegToNode[V] != NoNode && !EverSpilledV.test(V))
         Live.set(VRegToNode[V]);

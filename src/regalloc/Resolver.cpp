@@ -45,7 +45,7 @@ ResolveCounts lsra::resolveEdges(Function &F, const ResolverInput &In,
 
   for (const Edge &E : Edges) {
     ParallelCopy PC;
-    const BitVector &LiveInS = LV.liveIn(E.Succ);
+    BitSpan LiveInS = LV.liveIn(E.Succ);
     for (unsigned D = 0; D < DenseToVReg.size(); ++D) {
       unsigned V = DenseToVReg[D];
       if (V >= LiveInS.size() || !LiveInS.test(V))

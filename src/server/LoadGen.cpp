@@ -25,7 +25,6 @@
 #include <cmath>
 #include <fstream>
 #include <mutex>
-#include <sstream>
 #include <thread>
 #include <unordered_map>
 
@@ -85,9 +84,7 @@ bool buildCorpus(const LoadGenOptions &Opts, std::vector<std::string> &Corpus,
     // Repeated-mix mode: K seeded random programs, cycled by the senders,
     // so the expected server cache hit rate is (Requests - K) / Requests.
     for (unsigned I = 0; I < Opts.UniquePrograms; ++I) {
-      std::ostringstream OS;
-      printModule(OS, *buildRandomProgram(Opts.MixSeed + I));
-      Corpus.push_back(OS.str());
+      Corpus.push_back(toString(*buildRandomProgram(Opts.MixSeed + I)));
     }
     return true;
   }
@@ -100,9 +97,7 @@ bool buildCorpus(const LoadGenOptions &Opts, std::vector<std::string> &Corpus,
     bool Found = false;
     for (const WorkloadSpec &W : allWorkloads())
       if (Name == W.Name) {
-        std::ostringstream OS;
-        printModule(OS, *W.Build());
-        Corpus.push_back(OS.str());
+        Corpus.push_back(toString(*W.Build()));
         Found = true;
         break;
       }

@@ -396,6 +396,7 @@ void Server::onDeadline(const PendingPtr &P) {
   }
   finishRequest(P, "deadline", /*Cached=*/false, WaitedUs, Now);
   sendToConn(P->ConnId, P->FrameId, R.Status, encodeCompileResponse(R));
+  recordLatency(P->ArrivalNs);
   // The request stays in its Inflight entry; the worker sees Answered and
   // skips it (and skips the whole compile when every waiter expired).
 }
@@ -668,18 +669,23 @@ void Server::answerWaiter(const PendingPtr &W, const CompileResponse &Base,
   uint64_t ConnId = W->ConnId;
   uint32_t FrameId = W->FrameId;
   uint64_t TimerId = W->TimerId;
-  Loop.post([this, ConnId, FrameId, Type, TimerId,
+  int64_t ArrivalNs = W->ArrivalNs;
+  Loop.post([this, ConnId, FrameId, Type, TimerId, ArrivalNs,
              Payload = std::move(Payload)] {
     if (TimerId)
       Loop.cancelTimer(TimerId);
     sendToConn(ConnId, FrameId, Type, Payload);
+    recordLatency(ArrivalNs);
   });
+}
+
+void Server::recordLatency(int64_t ArrivalNs) {
+  histRecord("server.latency_us", clampedUs(nowNs() - ArrivalNs));
 }
 
 void Server::finishRequest(const PendingPtr &W, const char *Status,
                            bool Cached, uint64_t QueueUs, int64_t AnsweredNs) {
   int64_t TotalNs = AnsweredNs - W->ArrivalNs;
-  histRecord("server.latency_us", clampedUs(TotalNs));
   gaugeAdd("server.inflight", -1);
   if (!W->RT)
     return;

@@ -243,11 +243,17 @@ private:
   void answerWaiter(const PendingPtr &W, const CompileResponse &Base,
                     const char *LogStatus, bool Cached, int64_t TaskStartNs);
 
-  /// Terminal per-request telemetry: latency/queue-wait histograms,
-  /// in-flight gauge, trace flush, request-log line. Called exactly once
-  /// per answered request (guarded by Pending::Answered).
+  /// Terminal per-request telemetry: in-flight gauge, trace flush,
+  /// request-log line. Called exactly once per answered request (guarded by
+  /// Pending::Answered).
   void finishRequest(const PendingPtr &W, const char *Status, bool Cached,
                      uint64_t QueueUs, int64_t AnsweredNs);
+
+  /// Record server.latency_us for a request that arrived at \p ArrivalNs.
+  /// Called on the loop once its reply has been handed to the socket, so
+  /// the histogram covers encoding, the hand-off to the loop and the write
+  /// as well as the compile: the span a client sees, less the transfer.
+  void recordLatency(int64_t ArrivalNs);
 
   /// Refresh the process/cache gauges and render the registry's
   /// MetricsSnapshot as \p Format ("json", "prom", or "text").

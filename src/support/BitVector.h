@@ -21,6 +21,55 @@
 
 namespace lsra {
 
+/// A read-only view of bits stored elsewhere, with the query half of
+/// BitVector's interface. Liveness hands out its per-block sets as views
+/// into one flat array, so a solve costs a few allocations, not four per
+/// block.
+class BitSpan {
+public:
+  BitSpan(const uint64_t *Words, unsigned NumBits)
+      : Words(Words), NumBits(NumBits) {}
+
+  unsigned size() const { return NumBits; }
+
+  bool test(unsigned I) const {
+    assert(I < NumBits && "bit index out of range");
+    return (Words[I / 64] >> (I % 64)) & 1;
+  }
+
+  /// Invoke \p F(index) for every set bit in ascending order. Word-level
+  /// iteration (count-trailing-zeros per set bit, whole zero words skipped
+  /// in one test), so it is much faster on sparse vectors than per-bit
+  /// test() loops.
+  template <typename Fn> void forEachSetBit(Fn &&F) const {
+    for (unsigned WI = 0, E = numWords(); WI != E; ++WI) {
+      uint64_t W = Words[WI];
+      while (W) {
+        unsigned Bit = static_cast<unsigned>(__builtin_ctzll(W));
+        W &= W - 1;
+        F(WI * 64 + Bit);
+      }
+    }
+  }
+
+  bool operator==(const BitSpan &RHS) const {
+    if (NumBits != RHS.NumBits)
+      return false;
+    for (unsigned I = 0, E = numWords(); I != E; ++I)
+      if (Words[I] != RHS.Words[I])
+        return false;
+    return true;
+  }
+  bool operator!=(const BitSpan &RHS) const { return !(*this == RHS); }
+
+  const uint64_t *words() const { return Words; }
+  unsigned numWords() const { return (NumBits + 63) / 64; }
+
+private:
+  const uint64_t *Words;
+  unsigned NumBits;
+};
+
 /// Dense fixed-universe bit vector.
 ///
 /// All binary operations require equal sizes; this is asserted. The
@@ -31,6 +80,19 @@ public:
   BitVector() = default;
   explicit BitVector(unsigned NumBits, bool Value = false) {
     resize(NumBits, Value);
+  }
+
+  /// A copy of the viewed bits.
+  BitVector(BitSpan S)
+      : NumBits(S.size()), Words(S.words(), S.words() + S.numWords()) {}
+
+  /// View of this vector's bits (valid until it is resized).
+  BitSpan span() const { return {Words.data(), NumBits}; }
+
+  /// Become a copy of \p S, reusing this vector's storage.
+  void assign(BitSpan S) {
+    NumBits = S.size();
+    Words.assign(S.words(), S.words() + S.numWords());
   }
 
   unsigned size() const { return NumBits; }
@@ -146,21 +208,11 @@ public:
   }
   bool operator!=(const BitVector &RHS) const { return !(*this == RHS); }
 
-  /// Invoke \p F(index) for every set bit in ascending order. Word-level
-  /// iteration (count-trailing-zeros per set bit, whole zero words skipped
-  /// in one test), so it is much faster on sparse vectors than per-bit
-  /// test() loops and faster than setBits(), which re-scans from the
-  /// current bit on every ++.
+  /// Invoke \p F(index) for every set bit in ascending order (see
+  /// BitSpan::forEachSetBit); faster than setBits(), which re-scans from
+  /// the current bit on every ++.
   template <typename Fn> void forEachSetBit(Fn &&F) const {
-    for (unsigned WI = 0, E = static_cast<unsigned>(Words.size()); WI != E;
-         ++WI) {
-      uint64_t W = Words[WI];
-      while (W) {
-        unsigned Bit = static_cast<unsigned>(__builtin_ctzll(W));
-        W &= W - 1;
-        F(WI * 64 + Bit);
-      }
-    }
+    span().forEachSetBit(F);
   }
 
   /// First set bit at index >= From, or -1 if none.

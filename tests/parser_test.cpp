@@ -247,6 +247,206 @@ TEST(ParserDiagnostics, EmptyInputIsAnError) {
   EXPECT_FALSE(parseModule("\n\n# only comments\n").ok());
 }
 
+// Golden diagnostics: for each malformed input, the exact message, line,
+// column and token the parser reports. Recorded from the two-pass
+// istringstream parser this one replaced, so the rewrite kept every
+// diagnostic byte for byte.
+struct DiagCase {
+  const char *Text;
+  const char *Error;
+  unsigned Line;
+  unsigned Col;
+  const char *Token;
+};
+
+const DiagCase GoldenDiagnostics[] = {
+    {"func f (iparams=0)\nbb0 (e):\n  ret\n",
+     "line 1, col 1: func header missing ret=/vregs=/slots= (near 'func')", 1, 1, "func"},
+    {"bogus line\n",
+     "line 1, col 1: unexpected top-level line (near 'bogus')", 1, 1, "bogus"},
+    {"this is not ir\n",
+     "line 1, col 1: unexpected top-level line (near 'this')", 1, 1, "this"},
+    {"",
+     "empty module: no functions", 0, 0, ""},
+    {"\n\n# only comments\n",
+     "line 3, col 1: unexpected top-level line (near '#')", 3, 1, "#"},
+    {"; just a comment\n   \n",
+     "empty module: no functions", 0, 0, ""},
+    {"memsize 4\n",
+     "empty module: no functions", 0, 0, ""},
+    {"func f\n",
+     "line 1: malformed func header", 1, 0, ""},
+    {"func f (iparams=banana)\n",
+     "line 1, col 1: func header missing ret=/vregs=/slots= (near 'func')", 1, 1, "func"},
+    {"func f (iparams=0 fparams=0 ret=void vregs=2 slots=1)\n  movi %0, 1\n",
+     "line 2: instruction outside any block", 2, 0, ""},
+    {"func f (iparams=0 fparams=0 ret=void vregs=2 slots=1)\nbb1 (entry):\n  ret\n",
+     "line 2: block ids must be dense and in order", 2, 0, ""},
+    {"func f (iparams=0 fparams=0 ret=void vregs=2 slots=1)\nbb0 (entry):\n  frobnicate %0, 1\n",
+     "line 3, col 3: unknown opcode (near 'frobnicate')", 3, 3, "frobnicate"},
+    {"func f (iparams=0 fparams=0 ret=void vregs=2 slots=1)\nbb0 (entry):\n  movi %0, notanumber\n",
+     "line 3, col 12: bad operand (near 'notanumber')", 3, 12, "notanumber"},
+    {"func f (iparams=0 fparams=0 ret=void vregs=2 slots=1)\nbb0 (entry):\n  movi %zzz, 1\n",
+     "line 3, col 8: bad vreg operand (near '%zzz')", 3, 8, "%zzz"},
+    {"func f (iparams=0 fparams=0 ret=void vregs=2 slots=1)\nbb0 (entry):\n  movi %1x, 1\n",
+     "line 3, col 8: bad vreg operand (near '%1x')", 3, 8, "%1x"},
+    {"func f (iparams=0 fparams=0 ret=void vregs=2 slots=1)\nbb0 (entry):\n  mov $x, %0\n",
+     "line 3, col 7: bad preg operand (near '$x')", 3, 7, "$x"},
+    {"func f (iparams=0 fparams=0 ret=void vregs=2 slots=1)\nbb0 (entry):\n  fmov $fz, %0\n",
+     "line 3, col 8: bad preg operand (near '$fz')", 3, 8, "$fz"},
+    {"func f (iparams=0 fparams=0 ret=void vregs=2 slots=1)\nbb0 (entry):\n  ldslot %0, [x0]\n",
+     "line 3, col 14: bad slot operand (near '[x0]')", 3, 14, "[x0]"},
+    {"func f (iparams=0 fparams=0 ret=void vregs=2 slots=1)\nbb0 (entry):\n  ldslot %0, [s0\n",
+     "line 3, col 14: bad slot operand (near '[s0')", 3, 14, "[s0"},
+    {"func f (iparams=0 fparams=0 ret=void vregs=2 slots=1)\nbb0 (entry):\n  br bb1x\n",
+     "line 3, col 6: bad label operand (near 'bb1x')", 3, 6, "bb1x"},
+    {"func f (iparams=0 fparams=0 ret=void vregs=2 slots=1)\nbb0 (entry):\n  call @  (iargs=0 fargs=0)\n",
+     "line 3, col 8: empty call target (near '@')", 3, 8, "@"},
+    {"func f (iparams=0 fparams=0 ret=void vregs=2 slots=1)\nbb0 (entry):\n  movf %0, 1.5x\n",
+     "line 3, col 12: bad float immediate (near '1.5x')", 3, 12, "1.5x"},
+    {"func f (iparams=0 fparams=0 ret=void vregs=2 slots=1)\nbb0 (entry):\n  movi %0, 1  ; evict-frob\n",
+     "line 3, col 17: unknown spill tag (near 'evict-frob')", 3, 17, "evict-frob"},
+    {"func f (iparams=0 fparams=0 ret=void vregs=2 slots=1)\nbb0 (entry):\n  carg %0, 0\n  call @nosuch  (iargs=1 fargs=0)\n  ret\n",
+     "unknown call target '@nosuch'", 0, 0, "@nosuch"},
+    {"func f (iparams=0 fparams=0 ret=void vregs=2 slots=1)\n  params: x0\nbb0 (entry):\n  ret\n",
+     "line 2, col 11: bad params entry (near 'x0')", 2, 11, "x0"},
+    {"func f (iparams=0 fparams=0 ret=void vregs=2 slots=1)\n  fpvregs: %7\nbb0 (entry):\n  ret\n",
+     "line 2, col 12: fpvregs id out of range (near '%7')", 2, 12, "%7"},
+    {"func f (iparams=0 fparams=0 ret=void vregs=2 slots=1)\n  fpslots: t0\nbb0 (entry):\n  ret\n",
+     "line 2, col 12: bad fpslots entry (near 't0')", 2, 12, "t0"},
+    {"func f (iparams=0 fparams=0 ret=void vregs=2 slots=1)\n  fpslots: s3\nbb0 (entry):\n  ret\n",
+     "line 2, col 12: fpslots id out of range (near 's3')", 2, 12, "s3"},
+    {"func f (iparams=0 fparams=0 ret=void vregs=2 slots=1)\n  fpvregs: %0\n  params: %5\nbb0 (entry):\n  ret\n",
+     "line 3: param vreg out of range", 3, 0, ""},
+    {"mem x 0x1\nfunc f (iparams=0 fparams=0 ret=void vregs=2 slots=1)\nbb0 (entry):\n  ret\n",
+     "line 1: bad mem line", 1, 0, ""},
+    {"mem 3 zz\nfunc f (iparams=0 fparams=0 ret=void vregs=2 slots=1)\nbb0 (entry):\n  ret\n",
+     "line 1: bad mem line", 1, 0, ""},
+    {"func f (iparams=0 fparams=0 ret=void vregs=2 slots=1)\nbb0 (entry):\n  ret\nmemfoo 1\n",
+     "line 4, col 1: unexpected top-level line (near 'memfoo')", 4, 1, "memfoo"},
+    {"func f (iparams=0 fparams=0 ret=void vregs=2 slots=1)\nbb0 (entry):\n  movi %0,1\n",
+     "line 3, col 8: bad vreg operand (near '%0,1')", 3, 8, "%0,1"},
+    {"  func   \n",
+     "line 1, col 3: unexpected top-level line (near 'func')", 1, 3, "func"},
+    {"func f (iparams=0 fparams=0 ret=void vregs=2 slots=1)\nbb0 (entry):\n  ret\nfunc g (iparams=0 fparams=0 ret=void vregs=0)\nbb0 (entry):\n  ret\n",
+     "line 4, col 1: func header missing ret=/vregs=/slots= (near 'func')", 4, 1, "func"},
+    {"func f (iparams=0 fparams=0 ret=void vregs=2 slots=1)\nbb0 (entry):\n  movi %0, 1\r\n  add %1, %0, %0x\r\n",
+     "line 4, col 15: bad vreg operand (near '%0x')", 4, 15, "%0x"},
+};
+
+TEST(ParserDiagnostics, GoldenTable) {
+  for (const DiagCase &C : GoldenDiagnostics) {
+    ParseResult R = parseModule(C.Text);
+    ASSERT_FALSE(R.ok()) << C.Text;
+    EXPECT_EQ(R.Error, C.Error) << C.Text;
+    EXPECT_EQ(R.ErrLine, C.Line) << C.Text;
+    EXPECT_EQ(R.ErrCol, C.Col) << C.Text;
+    EXPECT_EQ(R.ErrToken, C.Token) << C.Text;
+  }
+}
+
+/// Expect \p Text to be rejected at (\p Line, \p Col) near \p Token with a
+/// message containing \p Msg.
+void expectRejected(const std::string &Text, const char *Msg, unsigned Line,
+                    unsigned Col, const char *Token) {
+  ParseResult R = parseModule(Text);
+  ASSERT_FALSE(R.ok()) << Text;
+  EXPECT_NE(R.Error.find(Msg), std::string::npos) << R.Error;
+  EXPECT_EQ(R.ErrLine, Line) << R.Error;
+  EXPECT_EQ(R.ErrCol, Col) << R.Error;
+  EXPECT_EQ(R.ErrToken, Token) << R.Error;
+}
+
+const char *const SmallMain =
+    "func main (iparams=0 fparams=0 ret=int vregs=1 slots=0)\n"
+    "bb0 (entry):\n"
+    "  movi %0, 0\n"
+    "  ret %0\n";
+
+// The three size probes: each once crashed or exhausted memory in `lsra
+// run`/`lsra print`, and now gets a typed error.
+TEST(ParserBounds, MemAddressWrapIsRejected) {
+  // Addr + 1 wrapped to 0 in 32 bits and the store wrote out of bounds.
+  expectRejected(std::string("mem 4294967295 0x1\n") + SmallMain,
+                 "mem address exceeds the size limit", 1, 5, "4294967295");
+}
+
+TEST(ParserBounds, HugeMemAddressIsRejected) {
+  expectRejected(std::string("mem 4000000000 0x1\n") + SmallMain,
+                 "mem address exceeds the size limit", 1, 5, "4000000000");
+  expectRejected(std::string("mem 99999999999 0x1\n") + SmallMain,
+                 "mem address out of range", 1, 5, "99999999999");
+}
+
+TEST(ParserBounds, HugeVRegCountIsRejected) {
+  std::string Text =
+      "func main (iparams=0 fparams=0 ret=int vregs=400000000 slots=0)\n"
+      "bb0 (entry):\n"
+      "  ret\n";
+  expectRejected(Text, "vregs= count exceeds the size limit", 1, 46,
+                 "400000000");
+}
+
+TEST(ParserBounds, DeclaredSizesScaleWithPayload) {
+  // The memory image and the vreg + slot declarations may each claim one
+  // unit per byte of text plus a 4096 floor; vregs and slots are summed
+  // over functions, so many small headers cannot add up to a large claim.
+  std::string Pad(20000, ' ');
+  std::string Big = "memsize 24000\n" + Pad + "\n" + SmallMain;
+  ParseResult R = parseModule(Big);
+  ASSERT_TRUE(R.ok()) << R.Error;
+  EXPECT_EQ(R.M->InitialMemory.size(), 24000u);
+  expectRejected(std::string("memsize 100000000\n") + SmallMain,
+                 "memsize exceeds the size limit", 1, 9, "100000000");
+  expectRejected(
+      "func f (iparams=0 fparams=0 ret=void vregs=3000 slots=0)\n"
+      "bb0 (entry):\n  ret\n"
+      "func g (iparams=0 fparams=0 ret=void vregs=0 slots=3000)\n"
+      "bb0 (entry):\n  ret\n",
+      "slots= count exceeds the size limit", 4, 52, "3000");
+}
+
+TEST(ParserBounds, IdsMustFitIn32Bits) {
+  expectRejected("func f (iparams=0 fparams=0 ret=void vregs=1 slots=0)\n"
+                 "bb0 (entry):\n  movi %4294967296, 1\n  ret\n",
+                 "id does not fit in 32 bits", 3, 8, "%4294967296");
+  expectRejected("func f (iparams=0 fparams=0 ret=void vregs=1 slots=1)\n"
+                 "bb0 (entry):\n  ldslot %0, [s99999999999]\n  ret\n",
+                 "id does not fit in 32 bits", 3, 14, "[s99999999999]");
+  expectRejected("func f (iparams=0 fparams=0 ret=void vregs=1 slots=0)\n"
+                 "  params: %4294967296\nbb0 (entry):\n  ret\n",
+                 "id does not fit in 32 bits", 2, 11, "%4294967296");
+}
+
+TEST(ParserBounds, RegisterAndArgumentCountsAreChecked) {
+  expectRejected("func f (iparams=0 fparams=0 ret=void vregs=1 slots=0)\n"
+                 "bb0 (entry):\n  mov %0, $32\n  ret\n",
+                 "preg out of range", 3, 11, "$32");
+  expectRejected("func f (iparams=0 fparams=0 ret=void vregs=1 slots=0)\n"
+                 "bb0 (entry):\n  fmov %0, $f40\n  ret\n",
+                 "preg out of range", 3, 12, "$f40");
+  expectRejected(std::string(SmallMain) +
+                     "func g (iparams=0 fparams=0 ret=void vregs=0 slots=0)\n"
+                     "bb0 (entry):\n  call @main  (iargs=7 fargs=0)\n"
+                     "  ret\n",
+                 "bad call argument count", 7, 22, "7");
+}
+
+TEST(ParserBounds, MalformedCountsAndDuplicatesAreRejected) {
+  expectRejected(std::string("memsize lots\n") + SmallMain, "bad memsize", 1,
+                 9, "lots");
+  expectRejected("func f (iparams=0 fparams=0 ret=void vregs=x slots=0)\n"
+                 "bb0 (entry):\n  ret\n",
+                 "bad vregs= count", 1, 44, "x");
+  expectRejected(std::string(SmallMain) + SmallMain, "duplicate function name",
+                 5, 6, "main");
+  // A memory word wider than 64 bits, and a missing value.
+  expectRejected(std::string("mem 3 0x1ffffffffffffffff\n") + SmallMain,
+                 "bad mem line", 1, 0, "");
+  expectRejected(std::string("mem 3 0x\n") + SmallMain, "bad mem line", 1, 0,
+                 "");
+}
+
 TEST(Printer, DotExportContainsBlocksAndEdges) {
   auto M = buildWorkload("eqntott");
   std::ostringstream OS;

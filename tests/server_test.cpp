@@ -450,6 +450,61 @@ TEST(Server, ParseErrorGetsTypedResponse) {
   S.shutdown();
 }
 
+// Requests declaring sizes far beyond their payload (the memory-image
+// address that wrapped to zero, a 4e9-word image, 4e8 vregs) once crashed
+// or exhausted the server. Each now gets a typed Error frame pointing at the
+// offending token, and the same connection goes on to compile normally.
+TEST(Server, OversizedDeclarationsGetTypedErrorAndServingContinues) {
+  ServerOptions SO;
+  SO.UnixPath = uniqueSockPath("bounds");
+  SO.Workers = 1;
+  Server S(SO);
+  std::string Err;
+  ASSERT_TRUE(S.start(Err)) << Err;
+  Client C = Client::connectUnix(SO.UnixPath, Err);
+  ASSERT_TRUE(C.valid()) << Err;
+
+  const std::string Main =
+      "func main (iparams=0 fparams=0 ret=int vregs=1 slots=0)\n"
+      "bb0 (entry):\n"
+      "  movi %0, 0\n"
+      "  ret %0\n";
+  const struct {
+    std::string Text;
+    unsigned Line;
+    const char *Token;
+  } Probes[] = {
+      {"mem 4294967295 0x1\n" + Main, 1, "4294967295"},
+      {"mem 4000000000 0x1\n" + Main, 1, "4000000000"},
+      {"func main (iparams=0 fparams=0 ret=int vregs=400000000 slots=0)\n"
+       "bb0 (entry):\n  ret\n",
+       1, "400000000"},
+  };
+  for (const auto &P : Probes) {
+    CompileRequest Req;
+    Req.IRText = P.Text;
+    CompileResponse Resp;
+    ASSERT_TRUE(C.compile(Req, Resp, Err, 30000)) << Err;
+    EXPECT_EQ(Resp.Status, FrameType::Error) << P.Text;
+    EXPECT_NE(Resp.Message.find("exceeds the size limit"), std::string::npos)
+        << Resp.Message;
+    EXPECT_EQ(Resp.ErrLine, P.Line);
+    EXPECT_GT(Resp.ErrCol, 0u);
+    EXPECT_EQ(Resp.ErrToken, P.Token);
+  }
+
+  CompileRequest Req;
+  Req.IRText = workloadText("wc");
+  CompileResponse Ok;
+  ASSERT_TRUE(C.compile(Req, Ok, Err, 30000)) << Err;
+  ASSERT_TRUE(Ok.ok()) << Ok.Message;
+  EXPECT_EQ(Ok.IRText,
+            compileTextModule(Req.IRText, TargetDesc::alphaLike(),
+                              AllocatorKind::SecondChanceBinpack)
+                .AllocatedText);
+  S.shutdown();
+}
+
 TEST(Server, VerifyAllocProvesServedAllocations) {
   // With --verify-alloc the server runs the translation validator on every
   // compile; a provable allocation serves normally.

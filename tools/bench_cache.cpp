@@ -33,7 +33,6 @@
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -65,9 +64,7 @@ Record measure(const WorkloadSpec &W, AllocatorKind K,
   R.Workload = W.Name;
   R.Allocator = allocatorName(K);
   TargetDesc TD = TargetDesc::alphaLike();
-  std::ostringstream OS;
-  printModule(OS, *W.Build());
-  std::string Text = OS.str();
+  std::string Text = toString(*W.Build());
 
   // Uncached reference, and cold best-of-five (each rep does the full
   // pipeline; the cache is only consulted afterwards).
@@ -136,9 +133,7 @@ std::vector<XprocRecord> measureCrossProcess() {
   std::vector<std::string> Refs;
   std::vector<const char *> Names;
   for (const WorkloadSpec &W : allWorkloads()) {
-    std::ostringstream OS;
-    printModule(OS, *W.Build());
-    Texts.push_back(OS.str());
+    Texts.push_back(toString(*W.Build()));
     Refs.push_back(compileTextModule(Texts.back(), TD, K).AllocatedText);
     Names.push_back(W.Name);
   }

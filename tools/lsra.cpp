@@ -356,10 +356,8 @@ int cmdRun(const std::string &Input, int Argc, char **Argv) {
     // print→parse is a fixed point, so the executed module is the same
     // either way. Tiered compiles take this path too — the tier-0
     // backend swap lives in compileTextModule.
-    std::ostringstream SS;
-    printModule(SS, *M);
     TextCompileResult R =
-        compileTextModule(SS.str(), TD, F.Kind, F.Alloc, F.Exec);
+        compileTextModule(toString(*M), TD, F.Kind, F.Alloc, F.Exec);
     if (!R.Ok) {
       std::fprintf(stderr, "lsra: %s\n", R.Error.c_str());
       return 1;
@@ -457,9 +455,7 @@ int cmdCompare(const std::string &Input, int Argc, char **Argv) {
     return 1;
   }
   // Keep the text around so each allocator starts from a fresh module.
-  std::ostringstream SS;
-  printModule(SS, *Ref);
-  std::string Text = SS.str();
+  std::string Text = toString(*Ref);
 
   RunResult RefRun = runReference(*Ref, TD);
   if (!RefRun.Ok) {
